@@ -39,28 +39,46 @@ type Result struct {
 	Iterations int     `json:"iterations,omitempty"`
 }
 
-// benchLine matches e.g.
-// BenchmarkFoo-8   123   9876 ns/op   456 B/op   7 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// benchLine matches the name and iteration count that open a result
+// line, e.g. "BenchmarkFoo-8   123"; the measurements follow as
+// "<value> <unit>" pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s`)
 
+// metric matches one "<value> <unit>" pair.
+var metric = regexp.MustCompile(`([\d.e+-]+) (\S+/op)`)
+
+// parse reads result lines. A line counts only if it reports ns/op; its
+// B/op and allocs/op are read wherever they appear, so custom
+// b.ReportMetric columns (draws/op, ops/op) in between do not hide them.
 func parse(r io.Reader, into map[string]Result) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		res := Result{}
 		res.Iterations, _ = strconv.Atoi(m[2])
-		res.NsOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			res.BytesOp, _ = strconv.ParseFloat(m[4], 64)
+		hasNs := false
+		for _, p := range metric.FindAllStringSubmatch(line[len(m[0]):], -1) {
+			v, err := strconv.ParseFloat(p[1], 64)
+			if err != nil {
+				continue
+			}
+			switch p[2] {
+			case "ns/op":
+				res.NsOp, hasNs = v, true
+			case "B/op":
+				res.BytesOp = v
+			case "allocs/op":
+				res.AllocsOp = v
+			}
 		}
-		if m[5] != "" {
-			res.AllocsOp, _ = strconv.ParseFloat(m[5], 64)
+		if hasNs {
+			into[m[1]] = res
 		}
-		into[m[1]] = res
 	}
 	return sc.Err()
 }

@@ -8,6 +8,13 @@
 //	echo 'max: 3x + 2y; c1: x + y <= 4; c2: x + 3y <= 6;' | lpsolve -
 //	lpsolve -duals model.lp
 //	lpsolve -method ipm -stats model.lp
+//
+// -method picks the engine: auto (the default route: presolve, then the
+// interior point method for large hint-free models, the dual route for
+// tall ones, and the bounded simplex otherwise), sparse (force the
+// bounded simplex) or ipm (force the interior point method, which hands
+// models it cannot finish to the simplex). -stats reports the route that
+// produced the answer.
 package main
 
 import (
@@ -26,7 +33,7 @@ func main() {
 		echo      = flag.Bool("echo", false, "echo the parsed model before solving")
 		maxIter   = flag.Int("maxiter", 0, "simplex iteration limit (0 = automatic)")
 		stats     = flag.Bool("stats", false, "print solver statistics (route, iterations, factorizations, nonzeros, wall time)")
-		method    = flag.String("method", "auto", "solver back end: auto, sparse, dense, unbounded, or ipm")
+		method    = flag.String("method", "auto", "solver back end: auto, sparse, or ipm")
 	)
 	flag.Parse()
 
@@ -104,23 +111,18 @@ func main() {
 }
 
 // parseMethod maps the -method flag onto the solver back ends. "auto"
-// keeps the full routing chain (presolve, dual route, IPM for huge
-// models, simplex, oracle fallbacks); the named methods force one
-// engine, which is how the cross-validation harnesses drive the CLI.
+// keeps the full route (presolve, IPM for huge models, dual route,
+// bounded simplex); the named methods force one engine.
 func parseMethod(s string) (lp.Method, error) {
 	switch s {
 	case "", "auto":
 		return lp.MethodAuto, nil
 	case "sparse":
 		return lp.MethodSparse, nil
-	case "dense":
-		return lp.MethodDense, nil
-	case "unbounded":
-		return lp.MethodUnboundedSparse, nil
 	case "ipm":
 		return lp.MethodIPM, nil
 	}
-	return 0, fmt.Errorf("unknown -method %q (want auto, sparse, dense, unbounded, or ipm)", s)
+	return 0, fmt.Errorf("unknown -method %q (want auto, sparse, or ipm)", s)
 }
 
 func readSource(path string) (string, error) {

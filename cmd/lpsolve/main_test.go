@@ -50,16 +50,15 @@ func TestStatsReportPresolveAndRoute(t *testing.T) {
 }
 
 // TestParseMethod pins the -method vocabulary: each name must map onto
-// its solver back end, the empty string and "auto" onto the routing
-// chain, and anything else must be rejected before a solve starts.
+// its solver back end, the empty string and "auto" onto the default
+// route, and anything else — including the retired test-only oracles —
+// must be rejected before a solve starts.
 func TestParseMethod(t *testing.T) {
 	want := map[string]lp.Method{
-		"":          lp.MethodAuto,
-		"auto":      lp.MethodAuto,
-		"sparse":    lp.MethodSparse,
-		"dense":     lp.MethodDense,
-		"unbounded": lp.MethodUnboundedSparse,
-		"ipm":       lp.MethodIPM,
+		"":       lp.MethodAuto,
+		"auto":   lp.MethodAuto,
+		"sparse": lp.MethodSparse,
+		"ipm":    lp.MethodIPM,
 	}
 	for name, m := range want {
 		got, err := parseMethod(name)
@@ -67,8 +66,10 @@ func TestParseMethod(t *testing.T) {
 			t.Errorf("parseMethod(%q) = %v, %v, want %v", name, got, err, m)
 		}
 	}
-	if _, err := parseMethod("simplex2"); err == nil {
-		t.Error("parseMethod accepted an unknown back end")
+	for _, name := range []string{"simplex2", "dense", "unbounded"} {
+		if _, err := parseMethod(name); err == nil {
+			t.Errorf("parseMethod accepted the unknown back end %q", name)
+		}
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 )
 
 // This file provides the paper's named LP mechanisms and the Figure 5
-// decision procedure, with a process-wide cache so experiment sweeps do
-// not re-solve identical LPs.
+// decision procedure. Results are not memoised here: the serving layer's
+// cache and artifact store hold built mechanisms, and the capped
+// warm-basis cache below makes a repeated or neighbouring solve cheap.
 
 // WMProps is the property set the paper settles on for WM after the
 // Figure 8 study: weak honesty with both monotonicity properties
@@ -19,18 +20,6 @@ import (
 // properties"), plus symmetry, which Theorem 1 grants at no cost and
 // which halves the LP.
 const WMProps = core.WeakHonesty | core.RowMonotone | core.ColumnMonotone | core.Symmetry
-
-type cacheKey struct {
-	n     int
-	alpha float64
-	props core.PropertySet
-	p     float64
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[cacheKey]*Result{}
-)
 
 // warmKey identifies a family of structurally identical design LPs: the
 // constraint pattern depends on (n, props, reduce, objective kind) but
@@ -116,37 +105,9 @@ func solveWarmCold(ctx context.Context, m *lp.Model, k warmKey, crash []int, col
 	return sol, nil
 }
 
-// solveCached solves with symmetry reduction enabled and memoises on
-// (n, alpha, props, objective-p) for uniform-weight problems. Errors —
-// cancellations included — are never memoised: the next request for the
-// same key re-solves from scratch.
-func solveCached(ctx context.Context, n int, alpha float64, props core.PropertySet, obj Objective) (*Result, error) {
-	if obj.Weights != nil {
-		return SolveCtx(ctx, Problem{N: n, Alpha: alpha, Props: props, Objective: obj, ReduceSymmetry: true})
-	}
-	key := cacheKey{n: n, alpha: alpha, props: props, p: obj.P}
-	cacheMu.Lock()
-	if r, ok := cache[key]; ok {
-		cacheMu.Unlock()
-		return r, nil
-	}
-	cacheMu.Unlock()
-	r, err := SolveCtx(ctx, Problem{N: n, Alpha: alpha, Props: props, Objective: obj, ReduceSymmetry: true})
-	if err != nil {
-		return nil, err
-	}
-	cacheMu.Lock()
-	cache[key] = r
-	cacheMu.Unlock()
-	return r, nil
-}
-
-// ClearCache drops all memoised LP results and warm-start bases (used by
-// benchmarks that want to measure cold solves).
+// ClearCache drops all warm-start bases (used by benchmarks that want to
+// measure cold solves).
 func ClearCache() {
-	cacheMu.Lock()
-	cache = map[cacheKey]*Result{}
-	cacheMu.Unlock()
 	warmMu.Lock()
 	warmBases = map[warmKey][]int{}
 	warmMu.Unlock()
@@ -161,7 +122,7 @@ func WM(n int, alpha float64) (*core.Mechanism, error) {
 
 // WMCtx is WM under a context (see SolveCtx for cancellation semantics).
 func WMCtx(ctx context.Context, n int, alpha float64) (*core.Mechanism, error) {
-	r, err := solveCached(ctx, n, alpha, WMProps, L0Objective)
+	r, err := SolveCtx(ctx, Problem{N: n, Alpha: alpha, Props: WMProps, Objective: L0Objective, ReduceSymmetry: true})
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +133,7 @@ func WMCtx(ctx context.Context, n int, alpha float64) (*core.Mechanism, error) {
 // LP-defined behaviour in the Figure 5 flowchart. When n ≥ 2α/(1−α) it
 // coincides with GM (Lemma 2).
 func WHOnly(n int, alpha float64) (*core.Mechanism, error) {
-	r, err := solveCached(context.Background(), n, alpha, core.WeakHonesty|core.Symmetry, L0Objective)
+	r, err := Solve(Problem{N: n, Alpha: alpha, Props: core.WeakHonesty | core.Symmetry, Objective: L0Objective, ReduceSymmetry: true})
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +304,7 @@ func ChooseCtx(ctx context.Context, n int, alpha float64, props core.PropertySet
 		// Below the threshold the LP must carry any requested row
 		// properties too, not just WH, or the serving layer would hand
 		// back a mechanism weaker than asked for.
-		r, err := solveCached(ctx, n, alpha, closed|core.Symmetry, L0Objective)
+		r, err := SolveCtx(ctx, Problem{N: n, Alpha: alpha, Props: closed | core.Symmetry, Objective: L0Objective, ReduceSymmetry: true})
 		if err != nil {
 			return nil, err
 		}

@@ -97,6 +97,9 @@ func TestChooseAlwaysSatisfiesRequest(t *testing.T) {
 	}
 }
 
+// TestWMCacheConsistency pins that a repeated WM solve, which starts
+// from the first solve's cached warm basis, returns the identical
+// mechanism, and that a cold re-solve after ClearCache matches it.
 func TestWMCacheConsistency(t *testing.T) {
 	ClearCache()
 	a, err := WM(5, 0.9)
@@ -112,7 +115,7 @@ func TestWMCacheConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d != 0 {
-		t.Errorf("cached WM differs by %v", d)
+		t.Errorf("warm-started WM differs by %v", d)
 	}
 	ClearCache()
 	c, err := WM(5, 0.9)

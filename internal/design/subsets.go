@@ -1,7 +1,6 @@
 package design
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -43,7 +42,7 @@ func ClassifySubsets(n int, alpha, tol float64) ([]SubsetResult, int, error) {
 		key := costKey{c: closure | core.Symmetry}
 		cost, ok := costs[key]
 		if !ok {
-			r, err := solveCached(context.Background(), n, alpha, key.c, L0Objective)
+			r, err := Solve(Problem{N: n, Alpha: alpha, Props: key.c, Objective: L0Objective, ReduceSymmetry: true})
 			if err != nil {
 				return nil, 0, err
 			}

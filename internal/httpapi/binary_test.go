@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"privcount/client"
@@ -415,4 +418,85 @@ func TestBinaryStreamPipelined(t *testing.T) {
 			t.Fatalf("op %d: %+v", i, r)
 		}
 	}
+}
+
+// TestBinaryStreamKeepAlive runs many binary streams back to back over
+// one keep-alive connection, each request body chunked (no length) the
+// way an SDK stream sends it. The frame reader stops at the stream's end
+// marker, before the body's terminal chunk, so a handler that returns
+// without draining the body leaves net/http reading it concurrently: the
+// server panics ("invalid concurrent Body.Read call") and the next
+// request on the connection is lost. Every stream must complete, on a
+// single connection, with no panic in the server log.
+func TestBinaryStreamKeepAlive(t *testing.T) {
+	svc := service.New(service.Config{Capacity: 8, Seed: 7})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewUnstartedServer(NewMux(svc))
+	var logBuf syncBuffer
+	ts.Config.ErrorLog = log.New(&logBuf, "", 0)
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+	t.Cleanup(hc.CloseIdleConnections)
+
+	const streams = 64
+	ops := []client.Op{
+		{Op: "sample", ID: "gm:n=8:a=0.5", Count: 3},
+		{Op: "batch", ID: "gm:n=8:a=0.5", Counts: []int{0, 4, 8}},
+		{Op: "estimate", ID: "gm:n=8:a=0.5", Outputs: []int{1, 2}},
+	}
+	for s := 0; s < streams; s++ {
+		// MultiReader hides the length, so the body goes out chunked.
+		body := io.MultiReader(encodeOps(t, ops))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", client.ContentTypeBinary)
+		req.Header.Set("Accept", client.ContentTypeBinary)
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("stream %d: %v", s, err)
+		}
+		results, err := readBinaryResults(t, resp.Body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("stream %d: %v", s, err)
+		}
+		if len(results) != len(ops) {
+			t.Fatalf("stream %d: %d results, want %d", s, len(results), len(ops))
+		}
+	}
+	if got := logBuf.String(); strings.Contains(got, "panic serving") {
+		t.Fatalf("server panicked:\n%s", got)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d streams used %d connections, want 1 keep-alive connection", streams, n)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the server's concurrent log
+// writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

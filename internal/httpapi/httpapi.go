@@ -604,18 +604,21 @@ func (a *api) postQuery(w http.ResponseWriter, r *http.Request) {
 	mayForward := a.node != nil && r.Header.Get(cluster.RoutedHeader) == ""
 	results := make([]client.OpResult, len(ops))
 	var wg sync.WaitGroup
-	for i, op := range ops {
+	for i := range ops {
 		wg.Add(1)
-		go func(i int, op client.Op) {
+		go func(i int) {
 			defer wg.Done()
 			if mayForward {
-				if res, ok := a.forwardOp(r.Context(), op); ok {
+				if res, ok := a.forwardOp(r.Context(), ops[i]); ok {
 					results[i] = res
 					return
 				}
 			}
-			results[i] = a.runOp(r.Context(), op)
-		}(i, op)
+			// Ops run concurrently and their results outlive the op, so
+			// each gets its own scratch: the result buffer is the op's
+			// alone, and the zero-value spec cache stays empty.
+			results[i] = a.runOpInto(r.Context(), &ops[i], &opScratch{})
+		}(i)
 	}
 	wg.Wait()
 	if binOut {
@@ -654,6 +657,13 @@ const streamFlushEvery = 64
 // stream is a valid, empty result stream. Malformed frames abort
 // in-band: the 200 status line is already committed, so the error rides
 // an abort frame instead of an HTTP status.
+//
+// The request body is drained before every return. The frame reader
+// stops at the stream's end marker (or at a malformed frame), ahead of
+// the body's own EOF; returning with body bytes unread would leave
+// net/http reading them concurrently with the full-duplex handler's
+// reader, which panics and loses the next request on the keep-alive
+// connection.
 func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", client.ContentTypeBinary)
 	// Without full duplex the net/http server closes the unread request
@@ -663,6 +673,11 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 	// finish writing before reading, which buffered bodies guarantee.
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
+	defer func() {
+		// A failed drain leaves nothing to report: the status line is
+		// committed and the stream has ended either way.
+		_, _ = io.Copy(io.Discard, r.Body)
+	}()
 	fr := client.NewFrameReader(r.Body)
 	fw := client.NewFrameWriter(w)
 	sc := newOpScratch()
@@ -701,7 +716,7 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 // name mechanisms by wire token; re-parsing every frame would allocate)
 // and the batch result buffer the zero-alloc sampling path writes into.
 type opScratch struct {
-	specs map[string]service.Spec
+	specs map[string]service.Spec // nil: parse every op, cache nothing
 	dst   []int
 }
 
@@ -722,7 +737,7 @@ func (sc *opScratch) spec(id string) (service.Spec, error) {
 	if err := s.UnmarshalText([]byte(id)); err != nil {
 		return service.Spec{}, err
 	}
-	if len(sc.specs) < maxCachedSpecs {
+	if sc.specs != nil && len(sc.specs) < maxCachedSpecs {
 		sc.specs[id] = s
 	}
 	return s, nil
@@ -736,11 +751,13 @@ func (sc *opScratch) buffer(k int) []int {
 	return sc.dst[:k]
 }
 
-// runOpInto executes one query op against per-stream scratch: batch
-// results are written into sc's buffer via the service's
-// SampleBatchInto fast path, so a warm stream samples without
-// allocating. The returned result aliases sc — the caller must encode
-// it before the next runOpInto call.
+// runOpInto executes one query op against scratch: batch results are
+// written into sc's buffer via the service's SampleBatchInto fast path,
+// so a warm stream samples without allocating. The returned result
+// aliases sc — the caller must encode it before the next runOpInto call
+// on the same scratch. Cold mechanisms are admitted and awaited under
+// ctx, so cheap closed-form specs work without a prior PUT, while a dead
+// client cancels any build it alone was waiting on.
 func (a *api) runOpInto(ctx context.Context, op *client.Op, sc *opScratch) client.OpResult {
 	spec, err := sc.spec(op.ID)
 	if err != nil {
@@ -767,53 +784,6 @@ func (a *api) runOpInto(ctx context.Context, op *client.Op, sc *opScratch) clien
 			return a.opError(err)
 		}
 		return client.OpResult{Outputs: dst}
-	case client.OpEstimate:
-		if len(op.Outputs) == 0 {
-			return a.opError(fmt.Errorf("%w: empty outputs", service.ErrSpecInvalid))
-		}
-		est, err := a.svc.EstimateCtx(ctx, spec, op.Outputs)
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{
-			MLE: est.MLE, Sum: &est.Sum, Mean: &est.Mean, Unbiased: &est.Unbiased,
-		}
-	default:
-		return a.opError(fmt.Errorf("%w: unknown op %q (want sample, batch, or estimate)", service.ErrSpecInvalid, op.Op))
-	}
-}
-
-// runOp executes one query op. Cold mechanisms are admitted and awaited
-// under ctx, exactly like the v1 data plane — so cheap closed-form
-// specs work without a prior PUT, while a dead client cancels any build
-// it alone was waiting on.
-func (a *api) runOp(ctx context.Context, op client.Op) client.OpResult {
-	var spec service.Spec
-	if err := spec.UnmarshalText([]byte(op.ID)); err != nil {
-		return a.opError(err)
-	}
-	switch op.Op {
-	case client.OpSample:
-		out, err := a.svc.SampleCtx(ctx, spec, op.Count)
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{Output: &out}
-	case client.OpBatch:
-		if len(op.Counts) == 0 {
-			return a.opError(fmt.Errorf("%w: empty counts", service.ErrSpecInvalid))
-		}
-		var outs []int
-		var err error
-		if op.Seed != nil {
-			outs, err = a.svc.SampleBatchSeededCtx(ctx, spec, *op.Seed, op.Counts, nil)
-		} else {
-			outs, err = a.svc.SampleBatchCtx(ctx, spec, op.Counts, nil)
-		}
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{Outputs: outs}
 	case client.OpEstimate:
 		if len(op.Outputs) == 0 {
 			return a.opError(fmt.Errorf("%w: empty outputs", service.ErrSpecInvalid))

@@ -47,7 +47,7 @@ func benchSolve(b *testing.B, n int, method Method) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := benchDesignModel(n, 0.9)
-		if _, err := m.SolveWith(Options{Method: method}); err != nil {
+		if _, err := m.solveAny(Options{Method: method}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,8 +55,8 @@ func benchSolve(b *testing.B, n int, method Method) {
 
 func BenchmarkSparseDesign8(b *testing.B)  { benchSolve(b, 8, MethodSparse) }
 func BenchmarkSparseDesign16(b *testing.B) { benchSolve(b, 16, MethodSparse) }
-func BenchmarkDenseDesign8(b *testing.B)   { benchSolve(b, 8, MethodDense) }
-func BenchmarkDenseDesign16(b *testing.B)  { benchSolve(b, 16, MethodDense) }
+func BenchmarkDenseDesign8(b *testing.B)   { benchSolve(b, 8, methodDense) }
+func BenchmarkDenseDesign16(b *testing.B)  { benchSolve(b, 16, methodDense) }
 func BenchmarkAutoDesign16(b *testing.B)   { benchSolve(b, 16, MethodAuto) }
 
 // BenchmarkWarmStartResolve measures re-solving a model from its own

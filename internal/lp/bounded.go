@@ -7,11 +7,12 @@ import (
 	"privcount/internal/mat"
 )
 
-// This file is the bounded-variable revised simplex: the default sparse
-// engine since the presolve/bounds work. It extends the classic revised
-// method (see revised.go, kept verbatim as the unbounded oracle) in three
-// ways that together move the design LPs from n≈96 to n≥256 inside the
-// serving budget:
+// This file is the bounded-variable revised simplex: the production
+// simplex engine. It extends the classic revised method (an LU-factorized
+// basis with eta-file updates, devex pricing, deterministic RHS
+// perturbation against degeneracy, and a Bland switch after a stall) in
+// three ways that together move the design LPs from n≈96 to n≥256 inside
+// the serving budget:
 //
 //   - three-state nonbasic logic. Every canonical column carries a box
 //     [0, ub] (lower bounds were shifted into the right-hand sides by
@@ -29,7 +30,7 @@ import (
 //     ratio test, basic-value update, and pivot application all iterate
 //     over those patterns. On the design LPs the patterns hold tens of
 //     entries while the basis holds tens of thousands of rows, which is
-//     where the order-of-magnitude win over the dense-sweep oracle lives.
+//     where the order-of-magnitude win over a dense-sweep simplex lives.
 //     A vector whose pattern fills past the sparsity cutover degrades
 //     gracefully to the dense code path for that iteration.
 //
@@ -47,8 +48,32 @@ import (
 //     entering choice toward a stale pool, and the resulting bases drag
 //     denser FTRAN/BTRAN patterns than the spread the rotation gives.)
 //     Optimality is only ever declared after a full scan over duals
-//     recomputed on a fresh factorization, exactly as in the oracle
-//     paths.
+//     recomputed on a fresh factorization.
+
+// errSparseFallback reports that an engine declined the model (a shape
+// it does not handle, or a basis the LU cannot factorize). The interior
+// point method uses it to hand the model to the simplex; SolveWith never
+// returns it.
+var errSparseFallback = errors.New("lp: sparse path fallback")
+
+// errRestoreInfeasible reports that the basis found for the perturbed
+// problem is not feasible for the true right-hand sides.
+var errRestoreInfeasible = errors.New("lp: perturbed basis infeasible after restore")
+
+// refactorEvery bounds the eta file length before the basis is
+// refactorized from scratch.
+const refactorEvery = 60
+
+// eta is one product-form basis update: entering column q replaced the
+// basic variable in row r, with w = B⁻¹·a_q the transformed column.
+type eta struct {
+	r    int
+	diag float64 // w_r, the pivot element
+	idx  []int32 // rows i ≠ r with w_i ≠ 0
+	val  []float64
+}
+
+// bounded is the working state of one bounded-simplex run.
 type bounded struct {
 	model *Model
 	cf    *canonForm
@@ -138,7 +163,9 @@ func newBounded(m *Model, cf *canonForm, opts Options, perturb bool) *bounded {
 		bv.basisPos[j] = i
 	}
 	if perturb {
-		// Same deterministic scheme as the oracle paths (see revised.go).
+		// A strictly positive, row-dependent nudge in [eps, 2eps) that
+		// makes the degenerate polytope simple; finish() restores the true
+		// data.
 		const eps = 1e-9
 		h := uint64(0x9e3779b97f4a7c15)
 		for i := range bv.b {
@@ -547,8 +574,9 @@ func (bv *bounded) ratioTest(q int, dir float64, bland, barArtificial bool, tol 
 
 	if barArtificial {
 		// A basic artificial the step would drive positive leaves first
-		// with a zero-length step (same guard as the oracle paths; the
-		// pivot element must clear the magnitude floor).
+		// with a zero-length step (the pivot element must clear the
+		// magnitude floor: an eta with a ~1e-9 diagonal would amplify
+		// error through every later FTRAN/BTRAN).
 		forced := -1
 		scan(func(i int) {
 			if forced >= 0 {
@@ -1437,7 +1465,7 @@ func (bv *bounded) runWarm(warm []int) (sol *Solution, ok bool) {
 // perturbed two-phase solve with an unperturbed retry.
 func (m *Model) solveBounded(cf *canonForm, opts Options) (*Solution, error) {
 	if cf.m == 0 {
-		return nil, errSparseFallback
+		return m.solveNoRows(cf, opts)
 	}
 	if opts.Basis != nil {
 		// Warm runs carry the same anti-degeneracy perturbation as cold
@@ -1464,4 +1492,27 @@ func (m *Model) solveBounded(cf *canonForm, opts Options) (*Solution, error) {
 		}
 	}
 	return sol, err
+}
+
+// solveNoRows is the zero-row case (typically a model presolve emptied):
+// with no constraint coupling them, each variable takes the end of its
+// box that its cost prefers, and a preferred end at infinity makes the
+// model unbounded. Zero-cost variables rest at their lower bounds.
+func (m *Model) solveNoRows(cf *canonForm, opts Options) (*Solution, error) {
+	sol := &Solution{Status: StatusOptimal, X: make([]float64, cf.nStruct)}
+	for j := range sol.X {
+		c := m.obj[j]
+		if m.sense == Maximize {
+			c = -c
+		}
+		var v float64
+		if c < -opts.Tol {
+			if math.IsInf(cf.ub[j], 1) {
+				return &Solution{Status: StatusUnbounded}, ErrUnbounded
+			}
+			v = cf.ub[j]
+		}
+		sol.X[j] = v + cf.shift[j]
+	}
+	return sol, nil
 }

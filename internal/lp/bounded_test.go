@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestBoundedUpperBoundRespected(t *testing.T) {
 	// max x + y  s.t.  x + 2y ≤ 4, x ∈ [0, 1.5]  →  x = 1.5, y = 1.25.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense, methodUnbounded} {
 		m := NewModel("box", Maximize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
@@ -22,7 +23,7 @@ func TestBoundedUpperBoundRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.AddConstraint("c", []Term{{x, 1}, {y, 2}}, LE, 4)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveAny(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -38,7 +39,7 @@ func TestBoundedUpperBoundRespected(t *testing.T) {
 func TestBoundedLowerBoundShift(t *testing.T) {
 	// min x + y  s.t.  x + y ≥ 5, x ≥ 2, y ∈ [1, 2]  →  x = 3, y = 2 or
 	// x = 4, y = 1 — both cost 5; the objective is what's pinned.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense, methodUnbounded} {
 		m := NewModel("shift", Minimize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
@@ -47,7 +48,7 @@ func TestBoundedLowerBoundShift(t *testing.T) {
 		m.SetBounds(x, 2, math.Inf(1))
 		m.SetBounds(y, 1, 2)
 		m.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 5)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveAny(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -62,14 +63,14 @@ func TestBoundedLowerBoundShift(t *testing.T) {
 
 func TestBoundedFixedVariable(t *testing.T) {
 	// x fixed at 2 contributes 2y ≤ 6 − 2 to the row; optimum y = 2.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense} {
 		m := NewModel("fix", Maximize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
 		m.SetObjective(y, 1)
 		m.SetBounds(x, 2, 2)
 		m.AddConstraint("c", []Term{{x, 1}, {y, 2}}, LE, 6)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveAny(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -110,13 +111,13 @@ func TestBoundedBoundFlips(t *testing.T) {
 func TestBoundedInfeasibleBox(t *testing.T) {
 	// Rows force x ≥ 3 against a box hi of 2: presolve proves it, and
 	// the oracle agrees via phase 1.
-	for _, method := range []Method{MethodAuto, MethodDense} {
+	for _, method := range []Method{MethodAuto, methodDense} {
 		m := NewModel("inf", Minimize)
 		x := m.AddVariable("x")
 		m.SetObjective(x, 1)
 		m.SetBounds(x, 0, 2)
 		m.AddConstraint("f", []Term{{x, 1}}, GE, 3)
-		_, err := m.SolveWith(Options{Method: method})
+		_, err := m.solveAny(Options{Method: method})
 		if err == nil {
 			t.Fatalf("method %d: expected infeasible", method)
 		}
@@ -174,11 +175,11 @@ func TestBoundedDenseCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 120; trial++ {
 		m := randomBoxedLP(rng)
-		dense, err := m.SolveWith(Options{Method: MethodDense})
+		dense, err := m.solveAny(Options{Method: methodDense})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		unb, err := m.SolveWith(Options{Method: MethodUnboundedSparse})
+		unb, err := m.solveAny(Options{Method: methodUnbounded})
 		if err != nil {
 			t.Fatalf("trial %d: unbounded-sparse: %v", trial, err)
 		}
@@ -282,5 +283,72 @@ func TestSetBoundsValidation(t *testing.T) {
 	}
 	if lo, hi := m.Bounds(x); lo != 0.5 || !math.IsInf(hi, 1) {
 		t.Fatalf("Bounds = [%v, %v]", lo, hi)
+	}
+}
+
+// TestBoundedZeroRowModels pins the bounded engine's native zero-row
+// case — models with no rows, and models presolve folds down to none —
+// against the dense oracle: same status and objective, served by the
+// bounded route, with or without presolve.
+func TestBoundedZeroRowModels(t *testing.T) {
+	build := func(sense Sense, rows bool, boxes [][2]float64, costs ...float64) *Model {
+		m := NewModel("zero-row", sense)
+		for i, c := range costs {
+			v := m.AddVariable("")
+			m.SetObjective(v, c)
+			if err := m.SetBounds(v, boxes[i][0], boxes[i][1]); err != nil {
+				t.Fatal(err)
+			}
+			if rows {
+				// A singleton row presolve folds into the box.
+				m.AddConstraint("", []Term{{v, 1}}, LE, 5)
+			}
+		}
+		return m
+	}
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		m    *Model
+	}{
+		{"min to upper bound", build(Minimize, false, [][2]float64{{0, 1}, {0.5, inf}}, -2, 1)},
+		{"max with fixed variable", build(Maximize, false, [][2]float64{{1, 1}, {0, 3}}, -1, 1)},
+		{"zero cost rests low", build(Maximize, false, [][2]float64{{0.5, 2}}, 0)},
+		{"unbounded ray", build(Minimize, false, [][2]float64{{0, inf}}, -1)},
+		{"presolve-emptied", build(Maximize, true, [][2]float64{{0, inf}, {1, 2}}, 1, -1)},
+	}
+	for _, c := range cases {
+		ref, refErr := c.m.solveAny(Options{Method: methodDense})
+		for _, noPresolve := range []bool{false, true} {
+			sol, err := c.m.SolveWith(Options{NoPresolve: noPresolve})
+			if Cause(err) != Cause(refErr) {
+				t.Fatalf("%s (no presolve %v): err %v, dense oracle %v", c.name, noPresolve, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			if math.Abs(sol.Objective-ref.Objective) > 1e-9 {
+				t.Fatalf("%s (no presolve %v): objective %v, dense oracle %v", c.name, noPresolve, sol.Objective, ref.Objective)
+			}
+			if sol.Route != RouteBounded {
+				t.Fatalf("%s (no presolve %v): route %q, want bounded", c.name, noPresolve, sol.Route)
+			}
+			if err := c.m.CheckFeasible(sol.X, 1e-9); err != nil {
+				t.Fatalf("%s (no presolve %v): %v", c.name, noPresolve, err)
+			}
+		}
+	}
+}
+
+// TestSolveWithRejectsUnknownMethod pins that only the production
+// methods reach an engine: anything else, the test-side oracle methods
+// included, is a malformed request.
+func TestSolveWithRejectsUnknownMethod(t *testing.T) {
+	for _, method := range []Method{-1, MethodIPM + 1, methodDense, methodUnbounded} {
+		m := NewModel("x", Minimize)
+		m.AddVariable("")
+		if _, err := m.SolveWith(Options{Method: method}); !errors.Is(err, ErrBadModel) {
+			t.Errorf("method %d: err = %v, want ErrBadModel", method, err)
+		}
 	}
 }

@@ -39,9 +39,9 @@ func buildChain(t testing.TB, n int) *Model {
 func TestSolveCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, method := range []Method{MethodAuto, MethodSparse, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodAuto, MethodSparse, methodDense, methodUnbounded} {
 		m := buildChain(t, 64)
-		sol, err := m.SolveCtx(ctx, Options{Method: method})
+		sol, err := m.solveAny(Options{Method: method, ctx: ctx})
 		if err == nil {
 			t.Fatalf("method %v: canceled solve succeeded", method)
 		}
@@ -61,14 +61,14 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 // an iteration boundary instead of running to optimality, on each
 // engine.
 func TestSolveCtxMidFlight(t *testing.T) {
-	for _, method := range []Method{MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodAuto, methodDense, methodUnbounded} {
 		m := buildChain(t, 400)
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		sol, err := m.SolveCtx(ctx, Options{Method: method})
+		sol, err := m.solveAny(Options{Method: method, ctx: ctx})
 		if err == nil {
 			// The solve legitimately beat the cancel; nothing to assert.
 			if sol.Status != StatusOptimal {
@@ -97,8 +97,8 @@ func TestSolveCtxCancelCausePropagates(t *testing.T) {
 }
 
 // TestIterationLimitSentinel pins the first-class termination error: the
-// iteration limit surfaces as ErrIterationLimit (and its deprecated
-// alias) with the matching status, classified by Cause.
+// iteration limit surfaces as ErrIterationLimit with the matching
+// status, classified by Cause.
 func TestIterationLimitSentinel(t *testing.T) {
 	m := buildChain(t, 64)
 	sol, err := m.SolveWith(Options{MaxIterations: 1})
@@ -107,9 +107,6 @@ func TestIterationLimitSentinel(t *testing.T) {
 	}
 	if !errors.Is(err, ErrIterationLimit) {
 		t.Errorf("err = %v, want ErrIterationLimit", err)
-	}
-	if !errors.Is(err, ErrIterLimit) {
-		t.Errorf("err = %v, want to match the ErrIterLimit alias", err)
 	}
 	if sol.Status != StatusIterLimit {
 		t.Errorf("status = %v, want StatusIterLimit", sol.Status)

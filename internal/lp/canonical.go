@@ -6,10 +6,11 @@ import "math"
 //
 //	A·x = b,  x ≥ 0,  b ≥ 0
 //
-// shared by both solver back ends: the dense tableau materialises rows
-// from it, and the sparse revised simplex consumes the CSC columns
-// directly. Keeping one canonicalisation guarantees the two solvers
-// optimise the identical problem, which is what makes the sparse-vs-dense
+// shared by every engine: the bounded revised simplex and the interior
+// point method consume the CSC columns directly, and the test-side
+// reference engines (the dense tableau and the unbounded revised
+// simplex) build on it too. Keeping one canonicalisation guarantees they
+// all optimise the identical problem, which is what makes the
 // cross-validation tests meaningful.
 //
 // Canonicalisation per row: structural lower bounds are shifted into the
@@ -47,7 +48,7 @@ type canonForm struct {
 	// original = rowScale · canonical (negative when the sign flipped).
 	rowScale []float64
 	// identCol[i]/identSign[i]: the slack/surplus/artificial column that
-	// carries row i's dual (sign −1 for surplus), as in the dense tableau.
+	// carries row i's dual (sign −1 for surplus).
 	identCol  []int
 	identSign []float64
 	// initIdCol[i] is the column forming row i's slot of the initial

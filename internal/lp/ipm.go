@@ -47,7 +47,7 @@ const ipmAcceptTol = 5e-8
 
 // ipmMaxIter bounds interior-point iterations. Well-posed LPs converge
 // in 10–40; the bound only trips on numerically hopeless models, which
-// then fall back to the simplex chain.
+// then fall back to the simplex.
 const ipmMaxIter = 200
 
 // ipmDivergence is the iterate magnitude that triggers an
@@ -101,8 +101,8 @@ type ipmState struct {
 
 // solveIPM runs the interior point method on the canonical form.
 // Returns errSparseFallback when the model shape is outside what the
-// method handles (no rows, nothing to optimize) so the caller can
-// continue down the simplex chain.
+// method handles (no rows, nothing to optimize) so the caller can hand
+// the model to the simplex.
 func (m *Model) solveIPM(cf *canonForm, opts Options) (*Solution, error) {
 	if cf.m == 0 {
 		return nil, errSparseFallback
@@ -412,17 +412,17 @@ func (st *ipmState) run(m *Model) (*Solution, error) {
 		// primal runs the duals off to infinity chasing a Farkas ray.
 		if maxX > ipmDivergence {
 			if relRb <= 1e-6 {
-				return &Solution{Status: StatusUnbounded, Iterations: iter, Route: "ipm"}, ErrUnbounded
+				return &Solution{Status: StatusUnbounded, Iterations: iter, Route: RouteIPM}, ErrUnbounded
 			}
 			// x diverged while primal-infeasible. An unbounded primal can
 			// drift off the affine hull on the way out just as easily as an
 			// infeasible one, so this is not a certificate either way: let
-			// the simplex chain classify with its Farkas-definitive tests.
-			return &Solution{Status: StatusIterLimit, Iterations: iter, Route: "ipm"},
+			// the simplex classify with its Farkas-definitive tests.
+			return &Solution{Status: StatusIterLimit, Iterations: iter, Route: RouteIPM},
 				errors.Join(errSparseFallback, fmt.Errorf("lp: ipm iterates diverged with primal residual %.3g", relRb))
 		}
 		if maxYZ > ipmDivergence {
-			return &Solution{Status: StatusInfeasible, Iterations: iter, Route: "ipm"},
+			return &Solution{Status: StatusInfeasible, Iterations: iter, Route: RouteIPM},
 				errors.Join(ErrInfeasible, errors.New("lp: ipm dual iterates diverged"))
 		}
 		if mu < 1e-14 && relRb > 1e-6 {
@@ -430,8 +430,8 @@ func (st *ipmState) run(m *Model) (*Solution, error) {
 			// That pattern covers genuine infeasibility AND feasible
 			// models whose dependent rows defeat the regularized normal
 			// equations, so it is not a certificate: hand the model to
-			// the simplex chain for a definitive verdict.
-			return &Solution{Status: StatusIterLimit, Iterations: iter, Route: "ipm"},
+			// the simplex for a definitive verdict.
+			return &Solution{Status: StatusIterLimit, Iterations: iter, Route: RouteIPM},
 				errors.Join(errSparseFallback, fmt.Errorf("lp: ipm gap closed with primal residual %.3g", relRb))
 		}
 
@@ -527,7 +527,7 @@ func (st *ipmState) run(m *Model) (*Solution, error) {
 		copy(st.y, bestY)
 		return st.extract(m, ipmMaxIter, bestG)
 	}
-	return &Solution{Status: StatusIterLimit, Iterations: ipmMaxIter, Route: "ipm"},
+	return &Solution{Status: StatusIterLimit, Iterations: ipmMaxIter, Route: RouteIPM},
 		errors.Join(errSparseFallback, fmt.Errorf("lp: ipm did not converge (best rb %.3g rc %.3g gap %.3g)", bestRb, bestRc, bestG))
 }
 
@@ -708,7 +708,7 @@ func (st *ipmState) extract(m *Model, iters int, gap float64) (*Solution, error)
 		X:          make([]float64, cf.nStruct),
 		Duals:      make([]float64, cf.m),
 		Iterations: iters,
-		Route:      "ipm",
+		Route:      RouteIPM,
 		Gap:        gap,
 	}
 	for j := 0; j < cf.nStruct; j++ {

@@ -1,26 +1,27 @@
 // Package lp is a self-contained linear-programming substrate: a model
-// builder, a sparse revised simplex (LU-factorized basis with eta-file
-// updates, devex pricing, warm starts, and automatic dualization of tall
-// models), a two-phase dense tableau simplex kept as an independent
-// oracle and fallback, dual-value extraction, and a reader/writer for an
+// builder, presolve, a bounded-variable sparse revised simplex
+// (LU-factorized basis with eta-file updates, devex pricing, warm starts,
+// and automatic dualization of tall models), a primal-dual interior point
+// method, dual-value extraction, and a reader/writer for an
 // lp_solve-style text format.
 //
 // The paper solves its constrained mechanism-design problems with
 // PyLPSolve (a wrapper over lp_solve); this package plays that role here.
 // The design LPs have O(n²) variables, ~4 rows per variable, and 1–3
-// nonzeros per row, so the revised simplex works on the sparse canonical
-// form directly (see canonical.go, revised.go, dual.go) while the dense
-// tableau cross-checks it. Solutions are checked in tests against
-// brute-force vertex enumeration, strong duality, sparse-vs-dense
-// cross-validation, and the paper's closed forms.
+// nonzeros per row, so both engines work on the sparse canonical form
+// directly (see canonical.go, bounded.go, dual.go, ipm.go). Solutions
+// are checked in tests against brute-force vertex enumeration, strong
+// duality, the paper's closed forms, and two reference engines that live
+// only in the tests: a dense tableau simplex and an unbounded revised
+// simplex.
 //
 // All variables are non-negative. Beyond that, each variable carries an
 // optional [lo, hi] box (SetBounds, default [0, ∞)) that the bounded
 // revised simplex honours natively: lower bounds are shifted into the
 // right-hand sides during canonicalisation and finite upper bounds drive
 // the three-state nonbasic logic, so neither consumes a constraint row.
-// The oracle back ends (the dense tableau and the unbounded revised
-// path) see the same boxes as explicit singleton rows via expandBounds.
+// The dual route and the test-side reference engines see the same boxes
+// as explicit singleton rows via expandBounds.
 // This matches the mechanism-design LPs exactly (probabilities are ≥ 0,
 // weak-honesty floors are lower bounds, and the column-sum equalities
 // imply ≤ 1).
@@ -114,11 +115,6 @@ var (
 	ErrCanceled = errors.New("lp: solve canceled")
 	ErrBadModel = errors.New("lp: malformed model")
 )
-
-// ErrIterLimit is the historical name of ErrIterationLimit.
-//
-// Deprecated: use ErrIterationLimit.
-var ErrIterLimit = ErrIterationLimit
 
 // NewModel returns an empty model with the given name and objective sense.
 func NewModel(name string, sense Sense) *Model {
@@ -231,8 +227,8 @@ func (m *Model) shiftLowerBounds() (*Model, []float64) {
 
 // expandBounds returns an equivalent model with every non-default box
 // materialised as explicit singleton rows appended after the original
-// constraints — the form the dense tableau and the unbounded revised
-// oracle understand — plus the number of rows appended. It returns the
+// constraints — the form the dual route dualizes — plus the number of
+// rows appended. It returns the
 // receiver itself (zero appended) when no variable is boxed; callers
 // slice the extra duals back off the returned solution.
 func (m *Model) expandBounds() (*Model, int) {

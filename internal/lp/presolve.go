@@ -16,8 +16,7 @@ import (
 // duplicate, and box-implied rows), substitutes fixed variables into the
 // remaining rows, and afterwards maps the reduced solution — primal
 // values, duals, and complementary-slackness structure — exactly back to
-// the original model, so callers (and the cross-validation oracles) see
-// the model they built.
+// the original model, so callers see the model they built.
 //
 // Every reduction preserves the feasible region exactly; dropped rows
 // take dual value zero except folded bound rows, whose dual is recovered

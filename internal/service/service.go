@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -299,28 +300,11 @@ func (s *Service) SampleCtx(ctx context.Context, spec Spec, j int) (int, error) 
 // once and the batch shares one pooled generator, which is what makes
 // batched serving cheap.
 func (s *Service) SampleBatch(spec Spec, js []int, dst []int) ([]int, error) {
-	return s.SampleBatchCtx(context.Background(), spec, js, dst)
-}
-
-// SampleBatchCtx is SampleBatch under a context (see SampleCtx).
-func (s *Service) SampleBatchCtx(ctx context.Context, spec Spec, js []int, dst []int) ([]int, error) {
-	if err := spec.Validate(); err != nil {
+	n := len(dst)
+	dst = slices.Grow(dst, len(js))[:n+len(js)]
+	if err := s.SampleBatchIntoCtx(context.Background(), spec, js, dst[n:]); err != nil {
 		return nil, err
 	}
-	spec = spec.Canonical()
-	sh := s.shards[spec.hash()&s.mask]
-	r := sh.pool.Get()
-	e := sh.get(spec, r.StreamID())
-	if err := s.ready(ctx, e); err != nil {
-		sh.pool.Put(r)
-		return nil, buildError(spec, err)
-	}
-	if err := checkCounts(js, e.spec.N); err != nil {
-		sh.pool.Put(r)
-		return nil, err
-	}
-	dst = e.sampler.SampleMany(r, js, dst)
-	sh.pool.Put(r)
 	return dst, nil
 }
 
@@ -385,20 +369,12 @@ func (s *Service) SampleBatchSeededInto(ctx context.Context, spec Spec, seed uin
 // a time, so a seeded batch matches seeded single-shot sampling — useful
 // for replayable experiments and for tests.
 func (s *Service) SampleBatchSeeded(spec Spec, seed uint64, js []int, dst []int) ([]int, error) {
-	return s.SampleBatchSeededCtx(context.Background(), spec, seed, js, dst)
-}
-
-// SampleBatchSeededCtx is SampleBatchSeeded under a context (see
-// SampleCtx).
-func (s *Service) SampleBatchSeededCtx(ctx context.Context, spec Spec, seed uint64, js []int, dst []int) ([]int, error) {
-	e, _, err := s.lookup(ctx, spec, 0)
-	if err != nil {
+	n := len(dst)
+	dst = slices.Grow(dst, len(js))[:n+len(js)]
+	if err := s.SampleBatchSeededInto(context.Background(), spec, seed, js, dst[n:]); err != nil {
 		return nil, err
 	}
-	if err := checkCounts(js, e.spec.N); err != nil {
-		return nil, err
-	}
-	return e.sampler.SampleMany(rng.New(seed), js, dst), nil
+	return dst, nil
 }
 
 // Estimate is the result of decoding a batch of observed noisy releases.
